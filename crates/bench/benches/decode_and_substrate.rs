@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks for the decode path (Fig. 7b's stages as one
 //! unit), encode/decode thread scaling over the chunked v2 SZ format, the
 //! Bloomier filter (Weightless's bottleneck), and the tensor substrate
-//! (matmul / forward pass).
+//! (matmul, the fc kernel at its hot shapes, forward pass).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dsz_baselines::bloomier::Bloomier;
@@ -11,7 +11,7 @@ use dsz_nn::{zoo, Arch, Batch, Scale};
 use dsz_sparse::PairArray;
 use dsz_sz::{ErrorBound, SzConfig};
 use dsz_tensor::parallel::{with_workers, worker_count};
-use dsz_tensor::{matmul_transb, Matrix};
+use dsz_tensor::{matmul_transb, matmul_transb_into, Matrix};
 
 fn decode_path(c: &mut Criterion) {
     // A pruned fc7-sized layer through the full DeepSZ decode pipeline.
@@ -115,6 +115,24 @@ fn substrate(c: &mut Criterion) {
     g.bench_function("dense_matmul_64x784x300", |b| {
         b.iter(|| matmul_transb(&a, &w))
     });
+
+    // The fc kernel alone, single-threaded, at the shapes that dominate
+    // the pipeline: ip1 (784 → 300) at serving batch widths 1 (unpacked
+    // tile) and 8 (packed panels), and fc6 at the assessment suffix shape
+    // (one 256-sample evaluation batch, 1152 → 512).
+    for (name, m, k, n) in [
+        ("ip1_w1", 1, 784, 300),
+        ("ip1_w8", 8, 784, 300),
+        ("fc6_assess_256x1152x512", 256, 1152, 512),
+    ] {
+        let a = vec![0.3f32; m * k];
+        let w = Matrix::from_vec(n, k, vec![0.1; n * k]);
+        let mut out = Vec::new();
+        g.throughput(Throughput::Elements((m * k * n) as u64));
+        g.bench_function(BenchmarkId::new("fc_kernel_1t", name), |b| {
+            b.iter(|| with_workers(1, || matmul_transb_into(&a, m, k, &w, &mut out)))
+        });
+    }
 
     let net = zoo::build(Arch::LeNet5, Scale::Full, 3);
     let x = Batch {

@@ -6,7 +6,7 @@
 //! bounds). AlexNet/VGG-16 sizes are reproduced at full scale on
 //! synthesized trained-weight distributions using the paper's final error
 //! bounds (accuracy for those networks lives in Table 3 at reduced scale —
-//! see DESIGN.md §2).
+//! see the `dsz_datagen` crate docs for the surrogate substitutions).
 
 use dsz_bench::tables::print_table;
 use dsz_bench::workloads::{full_size_pruned_layers, paper_error_bounds, workload};

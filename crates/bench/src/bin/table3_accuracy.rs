@@ -54,5 +54,5 @@ fn main() {
         &rows,
     );
     println!("\npaper: ≤ 0.3% top-1 loss in all cases (top-5 sometimes improves)");
-    println!("note: AlexNet/VGG-16 run at reduced scale on the feature surrogate (DESIGN.md §2)");
+    println!("note: AlexNet/VGG-16 run at reduced scale on the feature surrogate (substitutions: dsz_datagen crate docs)");
 }

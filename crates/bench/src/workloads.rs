@@ -2,7 +2,8 @@
 //!
 //! Each of the paper's four networks is trained on its synthetic workload
 //! (LeNets on the digit renderer at full scale; AlexNet/VGG-16 fc heads at
-//! reduced scale on the ImageNet-feature surrogate — see DESIGN.md), pruned
+//! reduced scale on the ImageNet-feature surrogate — see the `dsz_datagen`
+//! crate docs for the substitutions), pruned
 //! with the paper's per-layer densities, and retrained with masks. The
 //! result is cached under `target/dsz-cache/` so the many harness binaries
 //! share one training run per network.

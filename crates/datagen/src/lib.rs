@@ -2,7 +2,7 @@
 //!
 //! The paper trains/tests on MNIST and ImageNet with pre-trained Caffe
 //! models; neither is available offline, so this crate builds the closest
-//! synthetic equivalents (substitutions documented in DESIGN.md §2):
+//! synthetic equivalents. The substitutions, one module each:
 //!
 //! * [`digits`] — a procedural 28×28 digit renderer: LeNets train on it from
 //!   scratch to the high-90s accuracy regime the paper reports on MNIST.

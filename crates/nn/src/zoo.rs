@@ -2,7 +2,8 @@
 //!
 //! * **Full** scale reproduces the paper's exact layer dimensions — used for
 //!   storage/ratio experiments and forward-time measurement (weights can be
-//!   synthesized; ImageNet training is out of scope, see DESIGN.md).
+//!   synthesized; ImageNet training is out of scope, see the `dsz_datagen`
+//!   crate docs for the surrogate substitutions).
 //! * **Reduced** scale keeps each network's *shape* (relative fc-layer
 //!   sizes, depth, activation structure) at roughly 1/8 width for AlexNet
 //!   and VGG-16 so the accuracy experiments can train the fc head on

@@ -16,10 +16,11 @@
 //!   down and wakes the others. No background threads; a process with no
 //!   waiter blocked runs no serving code.
 //!
-//! Coalescing is *legal* because the dense kernel computes each output
-//! row as an independent sequential dot product — batched output is
-//! bit-identical to per-sample calls at every width and worker count
-//! (pinned by `crates/tensor/tests/batch_equivalence.rs`).
+//! Coalescing is *legal* because the dense kernel sums every output in
+//! `k` order from `+0.0`, whatever register tile or panel packing the
+//! batch width selects — batched output is bit-identical to per-sample
+//! calls at every width and worker count (pinned by
+//! `crates/tensor/tests/batch_equivalence.rs`).
 //!
 //! # Resilience (`docs/ROBUSTNESS.md`, "Serving resilience")
 //!

@@ -2,9 +2,11 @@
 //!
 //! The paper runs on Caffe + cuDNN; the framework itself only needs forward
 //! passes (and SGD retraining for the pruning step), so this crate provides
-//! exactly that foundation: a row-major [`Matrix`], cache-blocked matrix
-//! multiplication parallelized over the persistent worker pool, and the
-//! im2col transform used to lower convolutions to matmul.
+//! exactly that foundation: a row-major [`Matrix`], matrix multiplication
+//! parallelized over the persistent worker pool (the dense-layer kernel
+//! packs the weights into panels and runs register tiles over them, see
+//! [`matmul_transb_raw`]), and the im2col transform used to lower
+//! convolutions to matmul.
 //!
 //! Execution model: the [`parallel`] helpers enqueue work onto the
 //! lazily-initialized long-lived pool in [`pool`] (the caller always
@@ -17,6 +19,7 @@ pub mod parallel;
 pub mod pool;
 
 use parallel::parallel_for_rows;
+use std::cell::Cell;
 
 /// Row-major `rows × cols` matrix of `f32`.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,15 +135,39 @@ pub fn matmul_transb_into(a: &[f32], m: usize, k: usize, b: &Matrix, out: &mut V
     matmul_transb_raw(a, m, k, &b.data, b.rows, out);
 }
 
+/// Outputs per packed panel of B: the register tile's width.
+const NR: usize = 8;
+
+/// Rows per register tile, and the batch width from which packing B into
+/// panels pays for itself (each panel is reused once per row tile).
+const MR: usize = 4;
+
+thread_local! {
+    /// Per-thread reusable packed-panel buffer for [`matmul_transb_raw`].
+    /// The kernel takes it out for the call and puts it back afterwards:
+    /// the pool lets a caller run queued work, so a nested call on the same
+    /// thread simply finds it empty and allocates its own.
+    static PANELS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
 /// `C = A·Bᵀ` with both operands as raw row-major slices: `a` is `m×k`,
 /// `bdata` is `n×k`, and `out` is resized to `m·n`. This is the innermost
 /// kernel behind [`matmul_transb`] and [`matmul_transb_into`]; the serving
 /// layer calls it directly so weights shared out of the cross-model layer
 /// cache (`Arc<Vec<f32>>`) multiply without being copied into a `Matrix`.
-/// All entry points share this one loop, so outputs are bit-identical
-/// across them — and each output element is one sequential dot product,
-/// so results are also bit-identical across batch widths and worker
-/// counts (rows split across workers; the per-row loop never does).
+///
+/// The kernel is register-tiled. From `m ≥ 4` rows it packs B once, on
+/// the calling thread, into zero-padded panels of 8 outputs
+/// (`panel[kk·8 + j]`) that the row workers share read-only, and runs a
+/// 4-row × 8-output tile per panel (1-row tiles for leftover rows). Below
+/// 4 rows the same 8-output tile reads B's rows in place, and outputs past
+/// the last multiple of 8 take a scalar dot product.
+///
+/// Invariant, whatever the tile or packing: every output is its own
+/// accumulator, starting at `+0.0` and adding `a[r,kk]·b[j,kk]` in
+/// increasing `kk` (Rust never contracts that into an FMA). Outputs are
+/// therefore bit-identical across entry points, batch widths and worker
+/// counts: rows split across workers, no output's sum ever does.
 pub fn matmul_transb_raw(
     a: &[f32],
     m: usize,
@@ -153,20 +180,107 @@ pub fn matmul_transb_raw(
     assert_eq!(bdata.len(), n * k, "matmul_transb rhs shape mismatch");
     out.clear();
     out.resize(m * n, 0.0);
+    if out.is_empty() || k == 0 {
+        // Empty sums: every output keeps the `+0.0` it was filled with.
+        return;
+    }
+    if m < MR {
+        for (arow, crow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+            row_unpacked(arow, bdata, crow);
+        }
+        return;
+    }
+    let mut panels = PANELS.take();
+    pack_panels(bdata, k, &mut panels);
     parallel_for_rows(m, out, n, |r0, rows_chunk| {
-        for (ri, crow) in rows_chunk.chunks_exact_mut(n).enumerate() {
-            let r = r0 + ri;
-            let arow = &a[r * k..(r + 1) * k];
-            for (j, cv) in crow.iter_mut().enumerate() {
-                let brow = &bdata[j * k..(j + 1) * k];
-                let mut acc = 0f32;
-                for (x, y) in arow.iter().zip(brow) {
-                    acc += x * y;
-                }
-                *cv = acc;
-            }
+        let arow = |r: usize| &a[r * k..(r + 1) * k];
+        let mut quads = rows_chunk.chunks_exact_mut(MR * n);
+        let mut r = r0;
+        for quad in &mut quads {
+            tile_rows(
+                std::array::from_fn::<_, MR, _>(|i| arow(r + i)),
+                &panels,
+                quad,
+            );
+            r += MR;
+        }
+        for (i, crow) in quads.into_remainder().chunks_exact_mut(n).enumerate() {
+            tile_rows([arow(r + i)], &panels, crow);
         }
     });
+    PANELS.set(panels);
+}
+
+/// Packs `b` (`n×k`, row-major) into `ceil(n/8)` panels of `8·k` values,
+/// `panel[kk·8 + j] = b[p·8 + j, kk]`, zero-padding the last panel.
+fn pack_panels(b: &[f32], k: usize, panels: &mut Vec<f32>) {
+    let n = b.len() / k;
+    panels.clear();
+    panels.resize(n.div_ceil(NR) * NR * k, 0.0);
+    for (panel, bpanel) in panels.chunks_exact_mut(NR * k).zip(b.chunks(NR * k)) {
+        for (j, brow) in bpanel.chunks_exact(k).enumerate() {
+            for (slots, &bv) in panel.chunks_exact_mut(NR).zip(brow) {
+                slots[j] = bv;
+            }
+        }
+    }
+}
+
+/// One `R`-row × 8-output register tile per packed panel: `c` holds the
+/// `R` output rows (`c.len() / R` outputs each), `arows` the matching rows
+/// of A.
+fn tile_rows<const R: usize>(arows: [&[f32]; R], panels: &[f32], c: &mut [f32]) {
+    let k = arows[0].len();
+    // Slicing every row to `k` once lets the compiler drop the per-`kk`
+    // bounds checks in the tile loop.
+    let arows = arows.map(|arow| &arow[..k]);
+    let n = c.len() / R;
+    for (p, panel) in panels.chunks_exact(NR * k).enumerate() {
+        let mut acc = [[0f32; NR]; R];
+        for kk in 0..k {
+            let bv = &panel[kk * NR..][..NR];
+            for (acc_r, arow) in acc.iter_mut().zip(&arows) {
+                let x = arow[kk];
+                for (cv, &y) in acc_r.iter_mut().zip(bv) {
+                    *cv += x * y;
+                }
+            }
+        }
+        let j0 = p * NR;
+        let w = NR.min(n - j0);
+        for (crow, acc_r) in c.chunks_exact_mut(n).zip(&acc) {
+            crow[j0..j0 + w].copy_from_slice(&acc_r[..w]);
+        }
+    }
+}
+
+/// One output row without packing: the 8-output tile reads eight rows of
+/// `b` in place, and the last `n % 8` outputs take a scalar dot product.
+fn row_unpacked(arow: &[f32], b: &[f32], crow: &mut [f32]) {
+    let k = arow.len();
+    let mut bblocks = b.chunks_exact(NR * k);
+    let mut cblocks = crow.chunks_exact_mut(NR);
+    for (bblock, cblock) in (&mut bblocks).zip(&mut cblocks) {
+        let brows: [&[f32]; NR] = std::array::from_fn(|j| &bblock[j * k..][..k]);
+        let mut acc = [0f32; NR];
+        for (kk, &x) in arow.iter().enumerate() {
+            for (cv, brow) in acc.iter_mut().zip(&brows) {
+                *cv += x * brow[kk];
+            }
+        }
+        cblock.copy_from_slice(&acc);
+    }
+    for (cv, brow) in cblocks
+        .into_remainder()
+        .iter_mut()
+        .zip(bblocks.remainder().chunks_exact(k))
+    {
+        let mut acc = 0f32;
+        for (x, y) in arow.iter().zip(brow) {
+            acc += x * y;
+        }
+        *cv = acc;
+    }
 }
 
 /// `C = Aᵀ·B` where A is `k×m`, B is `k×n` (gradient wrt weights).
@@ -305,6 +419,8 @@ pub fn col2im(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::with_workers;
+    use proptest::prelude::*;
 
     fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         let mut c = Matrix::zeros(a.rows, b.cols);
@@ -368,6 +484,135 @@ mod tests {
         matmul_transb_into(&a.data, a.rows, a.cols, &b, &mut out);
         assert_eq!(out, want.data);
         assert_eq!(out.capacity(), cap, "steady-state call must not realloc");
+    }
+
+    /// The one-accumulator loop the register-tiled kernel replaced, kept as
+    /// the oracle it must match bit for bit.
+    fn oracle_transb(a: &[f32], m: usize, k: usize, b: &[f32], n: usize) -> Vec<f32> {
+        let mut out = vec![0f32; m * n];
+        for r in 0..m {
+            let arow = &a[r * k..(r + 1) * k];
+            for j in 0..n {
+                let brow = &b[j * k..(j + 1) * k];
+                let mut acc = 0f32;
+                for (x, y) in arow.iter().zip(brow) {
+                    acc += x * y;
+                }
+                out[r * n + j] = acc;
+            }
+        }
+        out
+    }
+
+    /// Ordinary operands, signed zeros, subnormals, and tiny values whose
+    /// products land in the subnormal range.
+    fn operand() -> impl Strategy<Value = f32> {
+        prop_oneof![
+            12 => -2f32..2f32,
+            2 => -1e-19f32..1e-19f32,
+            1 => (1u32..0x0080_0000).prop_map(f32::from_bits),
+            1 => (0x8000_0001u32..0x8080_0000).prop_map(f32::from_bits),
+            1 => Just(0.0f32),
+            1 => Just(-0.0f32),
+        ]
+    }
+
+    /// Non-finite values, injected sparsely so most outputs stay finite.
+    fn special() -> impl Strategy<Value = f32> {
+        prop_oneof![
+            Just(f32::NAN),
+            Just(-f32::NAN),
+            Just(f32::INFINITY),
+            Just(f32::NEG_INFINITY),
+            Just(f32::MAX),
+        ]
+    }
+
+    /// `len` operands with up to three non-finite values planted in them.
+    fn operands(len: usize) -> impl Strategy<Value = Vec<f32>> {
+        (
+            collection::vec(operand(), len),
+            collection::vec((any::<usize>(), special()), 0..4),
+        )
+            .prop_map(move |(mut v, plant)| {
+                if len > 0 {
+                    for (at, x) in plant {
+                        v[at % len] = x;
+                    }
+                }
+                v
+            })
+    }
+
+    /// Output bits, with every NaN mapped to one pattern: Rust leaves the
+    /// sign and payload of a NaN result unspecified (the compiler may
+    /// commute an operation's operands, and x86 returns the first NaN
+    /// operand), so only NaN-ness is a property of the arithmetic.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Every shape class the kernel distinguishes — m below and above
+        /// the pack threshold with leftover rows, n below 8 and not a
+        /// multiple of 8, k = 0 — at 1 and 4 workers.
+        #[test]
+        fn tiled_kernel_bit_identical_to_oracle(
+            (m, k, n, a, b) in (1usize..14, 0usize..301, 1usize..42).prop_flat_map(
+                |(m, k, n)| (Just((m, k, n)), operands(m * k), operands(n * k))
+            ).prop_map(|((m, k, n), a, b)| (m, k, n, a, b))
+        ) {
+            let want = bits(&oracle_transb(&a, m, k, &b, n));
+            for workers in [1usize, 4] {
+                let mut got = vec![f32::NAN; 5];
+                with_workers(workers, || matmul_transb_raw(&a, m, k, &b, n, &mut got));
+                prop_assert_eq!(
+                    bits(&got),
+                    want.clone(),
+                    "m={} k={} n={} workers={}",
+                    m,
+                    k,
+                    n,
+                    workers
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_calls_from_pool_workers_match_the_oracle() {
+        // Kernel calls inside pooled jobs (as in the parallel assessment),
+        // each packing its own panels while other calls are in flight.
+        let (m, k, n) = (24, 19, 17);
+        let a = rand_matrix(m, k, 31);
+        let b = rand_matrix(n, k, 32);
+        let want = bits(&oracle_transb(&a.data, m, k, &b.data, n));
+        let outs = with_workers(4, || {
+            let jobs: Vec<usize> = (0..8).collect();
+            crate::parallel::parallel_map(&jobs, |&i| {
+                let (mi, ni) = (4 + 2 * i, 9 + i);
+                let mut o = Vec::new();
+                matmul_transb_raw(&a.data[..mi * k], mi, k, &b.data[..ni * k], ni, &mut o);
+                (mi, ni, o)
+            })
+        });
+        for (mi, ni, o) in outs {
+            let want_i = bits(&oracle_transb(
+                &a.data[..mi * k],
+                mi,
+                k,
+                &b.data[..ni * k],
+                ni,
+            ));
+            assert_eq!(bits(&o), want_i);
+        }
+        let mut full = Vec::new();
+        matmul_transb_raw(&a.data, m, k, &b.data, n, &mut full);
+        assert_eq!(bits(&full), want);
     }
 
     #[test]
