@@ -32,7 +32,8 @@
 //! ([`dsz_tensor::pool::scope`]); joining a task that no pool worker picked
 //! up steals it inline, so prefetch degrades gracefully to serial order on
 //! busy or single-core hosts. [`CompressedFcModel::with_prefetch`] with
-//! `false` is shorthand for depth 0.
+//! `false` is shorthand for depth 0. An attached spill or shared cache
+//! replaces prefetch as the weight source, so both knobs are ignored then.
 
 // Streaming decodes untrusted container blobs on pool workers: malformed
 // input must come back as an `Err`, never a panic (`docs/ROBUSTNESS.md`).
@@ -65,15 +66,16 @@ fn check_abort(abort: Option<AbortFlag<'_>>) -> Result<(), DeepSzError> {
 }
 
 /// Test/harness instrumentation point on the forward path: probed once
-/// per fc layer, right before that layer's weights are resolved, on
-/// every forward schedule (serial, spill, shared-cache, prefetch). An
-/// `Err` aborts the pass with that error, exactly as a real decode
-/// failure at that layer would — which is the point: a seeded fault plan
-/// (`dsz_serve::chaos`) implements this trait to inject decode errors,
-/// slow layers, and mid-batch cancellations deterministically, without
-/// touching container bytes. Production models simply leave the hook
-/// unset ([`CompressedFcModel::with_forward_hook`]); the happy path pays
-/// one `Option` check per layer.
+/// per fc layer, in execution order, right before that layer's weights
+/// are resolved, whichever source supplies them (inline decode, prefetch
+/// queue, spill cache or shared cache). An `Err` aborts the pass with
+/// that error, exactly as a real decode failure at that layer would —
+/// which is the point: a seeded fault plan (`dsz_serve::chaos`)
+/// implements this trait to inject decode errors, slow layers, and
+/// mid-batch cancellations deterministically, without touching container
+/// bytes. Production models simply leave the hook unset
+/// ([`CompressedFcModel::with_forward_hook`]); the happy path pays one
+/// `Option` check per layer.
 pub trait ForwardHook: std::fmt::Debug + Send + Sync {
     /// Called before skeleton layer `layer_index` executes. Returning an
     /// `Err` fails the forward pass with it.
@@ -153,6 +155,7 @@ pub struct CompressedFcModel {
     /// Layers ahead of the executing one that may be decoding/decoded.
     prefetch_depth: usize,
     /// Cap on live dense bytes (executing + in-flight prefetches).
+    /// Ignored, like `prefetch_depth`, when a cache is attached.
     decoded_bytes_budget: Option<usize>,
     /// What to do when a layer fails to decode.
     decode_policy: DecodePolicy,
@@ -160,19 +163,20 @@ pub struct CompressedFcModel {
     /// shared across clones so forwards reuse each other's spills.
     spill: Option<Arc<SpillCache>>,
     /// Handle into the process-wide decoded-layer cache
-    /// ([`Self::with_shared_cache`]); when set, forwards run the shared
-    /// serial schedule and hot layers decode once across all tenants.
+    /// ([`Self::with_shared_cache`]); when set, forwards take weights
+    /// from it and hot layers decode once across all tenants.
     shared: Option<CacheHandle>,
-    /// Test/harness fault-injection hook, probed once per fc layer on
-    /// every forward schedule ([`Self::with_forward_hook`]).
+    /// Test/harness fault-injection hook, probed once per fc layer
+    /// ([`Self::with_forward_hook`]).
     hook: Option<Arc<dyn ForwardHook>>,
 }
 
 /// Memory accounting from a streaming forward pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StreamingStats {
-    /// Peak bytes of dense fc weights resident at any instant (the
-    /// executing layer plus every in-flight prefetch decode).
+    /// Peak bytes of dense fc weights resident at any instant: the
+    /// executing layer plus every in-flight prefetch decode, or, with a
+    /// spill or shared cache attached, plus that cache's live bytes.
     pub peak_dense_bytes: usize,
     /// Sum of dense fc weights (what eager decoding would hold).
     pub total_dense_bytes: usize,
@@ -251,6 +255,8 @@ impl CompressedFcModel {
     /// decoding/decoded concurrently. Depth 0 decodes inline (strict
     /// `max(layer)` dense peak); depth `d ≥ 1` holds at most the executing
     /// layer plus `d` prefetches, subject to the decoded-bytes budget.
+    /// Ignored when a spill or shared cache is attached, and on a 1-worker
+    /// budget: those passes decode inline.
     pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
         self.prefetch_depth = depth;
         self
@@ -258,7 +264,9 @@ impl CompressedFcModel {
 
     /// Caps the dense bytes live at once (executing layer + in-flight
     /// prefetches). `None` removes the cap. Prefetches that would exceed
-    /// the cap wait; execution itself is never blocked.
+    /// the cap wait; execution itself is never blocked. Ignored when a
+    /// spill or shared cache is attached: that cache's quota bounds live
+    /// bytes instead.
     pub fn with_decoded_bytes_budget(mut self, bytes: Option<usize>) -> Self {
         self.decoded_bytes_budget = bytes;
         self
@@ -273,11 +281,12 @@ impl CompressedFcModel {
     /// Attaches a disk spill cache: decoded layers are parked in memory up
     /// to `bytes_quota` bytes, evicted layers are written FNV-stamped into
     /// `dir` and re-loaded instead of re-decoded on the next use
-    /// ([`crate::spill`]). Forward passes run the serial path — the cache
-    /// itself bounds live dense bytes at `quota + executing layer`, which
-    /// is the point — and stay bit-identical to the in-RAM path
-    /// (spill files round-trip exact f32 bits). Typically paired with a
-    /// quota sized to the hot layers of a model larger than RAM.
+    /// ([`crate::spill`]). Forward passes take weights from this cache
+    /// instead of the prefetch queue — the cache itself bounds live dense
+    /// bytes at `quota + executing layer`, which is the point — and stay
+    /// bit-identical to the in-RAM path (spill files round-trip exact f32
+    /// bits). Typically paired with a quota sized to the hot layers of a
+    /// model larger than RAM.
     pub fn with_spill_dir(
         mut self,
         dir: impl AsRef<Path>,
@@ -294,11 +303,12 @@ impl CompressedFcModel {
 
     /// Attaches a handle into a process-wide
     /// [`SharedLayerCache`](crate::layer_cache::SharedLayerCache):
-    /// forwards run the serial schedule and each fc layer's decoded
-    /// weights are looked up under `(model, layer, record_fnv)` — hot
-    /// layers decode **once across every model and request** sharing the
-    /// cache, cold layers fall back to the spill cache (when attached)
-    /// and then to a container decode. Results are bit-identical to the
+    /// forwards take weights from it instead of the prefetch queue, and
+    /// each fc layer's decoded weights are looked up under
+    /// `(model, layer, record_fnv)` — hot layers decode **once across
+    /// every model and request** sharing the cache, cold layers fall back
+    /// to the spill cache (when attached) and then to a container decode.
+    /// Results are bit-identical to the
     /// uncached serial path at every quota, including 0 (the cache hands
     /// back the same decoded bits or nothing). This is the constructor
     /// the serving layer (`dsz_serve`) uses; `docs/SERVING.md` has the
@@ -373,26 +383,6 @@ impl CompressedFcModel {
         self.forward_inner(x, Some(abort))
     }
 
-    fn forward_inner(
-        &self,
-        x: &Batch,
-        abort: Option<AbortFlag<'_>>,
-    ) -> Result<(Batch, StreamingStats), DeepSzError> {
-        if let Some(handle) = self.shared.clone() {
-            // Shared cache implies the serial schedule: cross-request
-            // reuse, not prefetch, is what hides decode latency here.
-            self.forward_shared(x, &handle, abort)
-        } else if let Some(cache) = self.spill.clone() {
-            // Spill implies the serial schedule: the cache, not prefetch,
-            // is what bounds live dense bytes.
-            self.forward_spill(x, &cache, abort)
-        } else if self.prefetch_depth == 0 {
-            self.forward_serial(x, abort)
-        } else {
-            self.forward_prefetch(x, abort)
-        }
-    }
-
     /// Looks up the compressed blob backing skeleton layer `i`.
     fn compressed_for(&self, i: usize) -> Result<&CompressedLayer, DeepSzError> {
         self.layers
@@ -401,8 +391,26 @@ impl CompressedFcModel {
             .ok_or_else(|| DeepSzError::BadContainer(format!("no blob for fc layer {i}")))
     }
 
-    /// One-layer-at-a-time forward: strict `max(layer)` dense peak.
-    fn forward_serial(
+    /// The one forward loop. Each fc layer's dense weights come from the
+    /// source chosen for the whole pass:
+    ///
+    /// * **shared cache** (when attached): an `Arc` clone of the resident
+    ///   copy, else a spill rehydrate (when a spill cache is attached too),
+    ///   else a container decode, parked for the next tenant when the quota
+    ///   permits;
+    /// * **spill cache** (when attached): room is reserved first, then the
+    ///   parked buffer is fetched (from memory or a verified spill file) or
+    ///   the layer decodes, and after the matmul the buffer is parked back,
+    ///   evicting older layers to disk as the quota demands;
+    /// * **prefetch queue** otherwise: while layer *k*'s matmul runs, pool
+    ///   tasks decode up to `prefetch_depth` upcoming layers within the
+    ///   decoded-bytes budget, and a layer nobody prefetched decodes inline.
+    ///
+    /// The queue stays empty at depth 0, on a 1-worker budget and whenever
+    /// a cache is attached (the cache, not prefetch, bounds live bytes and
+    /// hides decode latency there), so those passes decode one layer at a
+    /// time with the strict `max(layer)` peak.
+    fn forward_inner(
         &self,
         x: &Batch,
         abort: Option<AbortFlag<'_>>,
@@ -415,216 +423,37 @@ impl CompressedFcModel {
                 .sum(),
             ..Default::default()
         };
-        let mut cur = x.clone();
-        for (i, layer) in self.skeleton.layers.iter().enumerate() {
-            check_abort(abort)?;
-            match layer {
-                Layer::Dense(d) if d.w.data.is_empty() => {
-                    self.probe_hook(i)?;
-                    let decoded = self
-                        .compressed_for(i)?
-                        .decode()
-                        .map_err(|e| self.decode_failure(i, e))?;
-                    let dense_bytes = decoded.dense.len() * 4;
-                    stats.peak_dense_bytes = stats.peak_dense_bytes.max(dense_bytes);
-                    stats.total_dense_bytes += dense_bytes;
-                    let mut live = d.clone();
-                    live.w.data = decoded.dense;
-                    let (next, _) = Layer::Dense(live).forward(&cur);
-                    cur = next; // dense weights dropped here
-                }
-                other => {
-                    let (next, _) = other.forward(&cur);
-                    cur = next;
-                }
-            }
-        }
-        Ok((cur, stats))
-    }
-
-    /// Serial forward through the spill cache: each fc layer's dense
-    /// weights come from the cache when parked (in memory or as a
-    /// verified spill file) and from a container decode only on a true
-    /// miss; after its matmul the buffer is parked back, evicting older
-    /// layers to disk as the quota demands. Live dense bytes are thus
-    /// bounded by `quota + executing layer` at every instant, and repeat
-    /// forwards replace re-decoding with (much cheaper) file rehydration.
-    fn forward_spill(
-        &self,
-        x: &Batch,
-        cache: &SpillCache,
-        abort: Option<AbortFlag<'_>>,
-    ) -> Result<(Batch, StreamingStats), DeepSzError> {
-        let mut stats = StreamingStats {
-            compressed_bytes: self
-                .layers
-                .iter()
-                .map(CompressedLayer::compressed_bytes)
-                .sum(),
-            ..Default::default()
-        };
-        let mut cur = x.clone();
-        for (i, layer) in self.skeleton.layers.iter().enumerate() {
-            check_abort(abort)?;
-            match layer {
-                Layer::Dense(d) if d.w.data.is_empty() => {
-                    self.probe_hook(i)?;
-                    let c = self.compressed_for(i)?;
-                    // Make room for this layer before it materializes, so
-                    // cached + executing never exceeds quota + one layer.
-                    cache.reserve(c.dense_bytes())?;
-                    let dense = match cache.fetch(i)? {
-                        Some(parked) => parked,
-                        None => {
-                            self.compressed_for(i)?
-                                .decode()
-                                .map_err(|e| self.decode_failure(i, e))?
-                                .dense
-                        }
-                    };
-                    let dense_bytes = dense.len() * 4;
-                    stats.peak_dense_bytes =
-                        stats.peak_dense_bytes.max(dense_bytes + cache.live_bytes());
-                    stats.total_dense_bytes += dense_bytes;
-                    let mut live = d.clone();
-                    live.w.data = dense;
-                    let wrapped = Layer::Dense(live);
-                    let (next, _) = wrapped.forward(&cur);
-                    cur = next;
-                    // Recover the buffer from the wrapper and park it for
-                    // the next forward pass instead of dropping it.
-                    let Layer::Dense(spent) = wrapped else {
-                        unreachable!("constructed as Dense above")
-                    };
-                    cache.store(i, spent.w.data)?;
-                }
-                other => {
-                    let (next, _) = other.forward(&cur);
-                    cur = next;
-                }
-            }
-        }
-        Ok((cur, stats))
-    }
-
-    /// Serial forward through the process-wide shared layer cache: each
-    /// fc layer's dense weights come from the cache when resident (an
-    /// `Arc` clone — zero copy, shared with every other request holding
-    /// them), from the spill cache when attached and parked there, and
-    /// from a container decode on a true miss, after which they are
-    /// parked for the next tenant (quota permitting). The cache ledger
-    /// never exceeds the global quota; live dense bytes at any instant
-    /// are bounded by `quota + this pass's executing layer`
-    /// (`crate::layer_cache`).
-    fn forward_shared(
-        &self,
-        x: &Batch,
-        handle: &CacheHandle,
-        abort: Option<AbortFlag<'_>>,
-    ) -> Result<(Batch, StreamingStats), DeepSzError> {
-        let mut stats = StreamingStats {
-            compressed_bytes: self
-                .layers
-                .iter()
-                .map(CompressedLayer::compressed_bytes)
-                .sum(),
-            ..Default::default()
-        };
-        let mut cur = x.clone();
-        for (i, layer) in self.skeleton.layers.iter().enumerate() {
-            check_abort(abort)?;
-            match layer {
-                Layer::Dense(d) if d.w.data.is_empty() => {
-                    self.probe_hook(i)?;
-                    let c = self.compressed_for(i)?;
-                    let weights = handle.get_or_decode(
-                        i,
-                        c.record_fnv,
-                        || -> Result<Vec<f32>, DeepSzError> {
-                            // Cold layer: prefer a (cheap) spill
-                            // rehydrate over a container re-decode.
-                            if let Some(spill) = &self.spill {
-                                if let Some(parked) = spill.fetch(i)? {
-                                    return Ok(parked);
-                                }
-                            }
-                            c.decode()
-                                .map(|decoded| decoded.dense)
-                                .map_err(|e| self.decode_failure(i, e))
-                        },
-                    )?;
-                    let dense_bytes = weights.len() * 4;
-                    stats.peak_dense_bytes = stats
-                        .peak_dense_bytes
-                        .max(dense_bytes + handle.cache().live_bytes());
-                    stats.total_dense_bytes += dense_bytes;
-                    cur = dense_forward_with_weights(d, &weights, &cur);
-                    // `weights` drops here: cached layers stay resident
-                    // (one copy, shared), uncached ones free immediately.
-                }
-                other => {
-                    let (next, _) = other.forward(&cur);
-                    cur = next;
-                }
-            }
-        }
-        Ok((cur, stats))
-    }
-
-    /// Pipelined forward: while layer *k*'s matmul runs, pool tasks decode
-    /// up to `prefetch_depth` upcoming layers (lossless + lossy data via
-    /// the layer's codec — SZ chunks additionally fan out internally —
-    /// + reconstruction), bounded by the decoded-bytes budget.
-    fn forward_prefetch(
-        &self,
-        x: &Batch,
-        abort: Option<AbortFlag<'_>>,
-    ) -> Result<(Batch, StreamingStats), DeepSzError> {
-        let mut stats = StreamingStats {
-            compressed_bytes: self
-                .layers
-                .iter()
-                .map(CompressedLayer::compressed_bytes)
-                .sum(),
-            ..Default::default()
-        };
-        // Compressed fc layers in execution order.
-        let order: Vec<usize> = self
+        // Compressed fc layers in execution order. Resolving every blob up
+        // front fails before scheduling anything, and makes the later
+        // lookups infallible indexing.
+        let blobs: Vec<&CompressedLayer> = self
             .skeleton
             .layers
             .iter()
             .enumerate()
-            .filter_map(|(i, l)| match l {
-                Layer::Dense(d) if d.w.data.is_empty() => Some(i),
-                _ => None,
-            })
-            .collect();
-        // Resolve every blob up front: fails before scheduling anything,
-        // and the later lookups become infallible indexing.
-        let blobs: Vec<&CompressedLayer> = order
-            .iter()
-            .map(|&i| self.compressed_for(i))
+            .filter(|(_, l)| matches!(l, Layer::Dense(d) if d.w.data.is_empty()))
+            .map(|(i, _)| self.compressed_for(i))
             .collect::<Result<_, _>>()?;
 
         // Decode tasks run concurrently with the matmul thread, so the
         // caller's worker budget is split between the two sides (each side
         // at least 1). Pinning inside the spawned task also propagates a
         // `with_workers` override, whose thread-local would otherwise be
-        // unset on a pool worker.
+        // unset on a pool worker. With no second thread to overlap with,
+        // honoring a 1-thread pin means running no concurrent decode.
         let budget = dsz_tensor::parallel::worker_count();
-        if budget < 2 {
-            // No second thread to overlap with: honoring a 1-thread pin
-            // means not running any concurrent decode at all.
-            return self.forward_serial(x, abort);
-        }
-        let depth = self.prefetch_depth;
+        let depth = if self.shared.is_some() || self.spill.is_some() || budget < 2 {
+            0
+        } else {
+            self.prefetch_depth
+        };
         let bytes_budget = self.decoded_bytes_budget.unwrap_or(usize::MAX);
         let decode_budget = budget / 2;
         let compute_budget = budget - decode_budget;
         // The decode half of the budget is shared by all in-flight decodes.
-        let per_decode_budget = (decode_budget / depth).max(1);
+        let per_decode_budget = (decode_budget / depth.max(1)).max(1);
 
-        // In-flight prefetch bookkeeping: (position in execution `order`,
+        // In-flight prefetch bookkeeping: (position in execution order,
         // decode task handle, target dense bytes).
         type Prefetch<'scope> = (
             usize,
@@ -642,7 +471,7 @@ impl CompressedFcModel {
             // scope lifetime, which a closure signature cannot name.)
             macro_rules! schedule {
                 ($executing_bytes:expr) => {
-                    while pending.len() < depth && next_ord < order.len() {
+                    while pending.len() < depth && next_ord < blobs.len() {
                         let c = blobs[next_ord];
                         let bytes = c.dense_bytes();
                         if $executing_bytes + pending_bytes + bytes > bytes_budget {
@@ -666,55 +495,80 @@ impl CompressedFcModel {
             let mut cur = x.clone();
             for layer in &self.skeleton.layers {
                 check_abort(abort)?;
-                match layer {
-                    Layer::Dense(d) if d.w.data.is_empty() => {
-                        self.probe_hook(order[cur_ord])?;
-                        let decoded = match pending.front() {
-                            Some(&(ord, _, _)) if ord == cur_ord => {
-                                let Some((_, handle, bytes)) = pending.pop_front() else {
-                                    unreachable!("front checked above")
-                                };
-                                pending_bytes -= bytes;
-                                handle
-                                    .join()
-                                    .map_err(|e| self.decode_failure(order[cur_ord], e))?
-                            }
-                            // Not prefetched (depth exhausted by the bytes
-                            // budget): decode inline, like the serial path.
-                            _ => {
-                                next_ord = next_ord.max(cur_ord + 1);
-                                blobs[cur_ord]
-                                    .decode()
-                                    .map_err(|e| self.decode_failure(order[cur_ord], e))?
-                            }
-                        };
-                        cur_ord += 1;
-                        let dense_bytes = decoded.dense.len() * 4;
-                        stats.total_dense_bytes += dense_bytes;
-                        // Top the pipeline back up now that the executing
-                        // layer's footprint is known.
-                        schedule!(dense_bytes);
-                        stats.peak_dense_bytes =
-                            stats.peak_dense_bytes.max(dense_bytes + pending_bytes);
-                        let mut live = d.clone();
-                        live.w.data = decoded.dense;
-                        cur = forward_sharing_budget(
-                            &Layer::Dense(live),
-                            &cur,
-                            !pending.is_empty(),
-                            compute_budget,
-                        ); // dense weights dropped here
-                    }
+                let d = match layer {
+                    Layer::Dense(d) if d.w.data.is_empty() => d,
+                    // Non-fc layers also share cores with in-flight decodes
+                    // (e.g. the conv stack before the first fc).
                     other => {
-                        // Non-fc layers also share cores with in-flight
-                        // decodes (e.g. the conv stack before the first fc).
-                        cur = forward_sharing_budget(
-                            other,
-                            &cur,
-                            !pending.is_empty(),
-                            compute_budget,
-                        );
+                        cur = forward_sharing_budget(!pending.is_empty(), compute_budget, || {
+                            other.forward(&cur).0
+                        });
+                        continue;
                     }
+                };
+                let c = blobs[cur_ord];
+                let i = c.layer_index;
+                self.probe_hook(i)?;
+                let decode = || {
+                    c.decode()
+                        .map(|layer| layer.dense)
+                        .map_err(|e| self.decode_failure(i, e))
+                };
+                // `resident`: dense bytes held beside the executing layer.
+                let (weights, resident) = if let Some(handle) = &self.shared {
+                    let weights = handle.get_or_decode(i, c.record_fnv, || {
+                        // Cold layer: prefer a (cheap) spill rehydrate over
+                        // a container re-decode.
+                        if let Some(spill) = &self.spill {
+                            if let Some(parked) = spill.fetch(i)? {
+                                return Ok(parked);
+                            }
+                        }
+                        decode()
+                    })?;
+                    (Weights::Shared(weights), handle.cache().live_bytes())
+                } else if let Some(spill) = &self.spill {
+                    // Make room for this layer before it materializes, so
+                    // cached + executing never exceeds quota + one layer.
+                    spill.reserve(c.dense_bytes())?;
+                    let weights = match spill.fetch(i)? {
+                        Some(parked) => parked,
+                        None => decode()?,
+                    };
+                    (Weights::Owned(weights), spill.live_bytes())
+                } else {
+                    let weights = match pending.pop_front_if(|p| p.0 == cur_ord) {
+                        Some((_, handle, bytes)) => {
+                            pending_bytes -= bytes;
+                            handle
+                                .join()
+                                .map(|layer| layer.dense)
+                                .map_err(|e| self.decode_failure(i, e))?
+                        }
+                        // Not prefetched (queue empty, or depth exhausted by
+                        // the bytes budget): decode inline.
+                        None => {
+                            next_ord = next_ord.max(cur_ord + 1);
+                            decode()?
+                        }
+                    };
+                    // Top the pipeline back up now that the executing
+                    // layer's footprint is known.
+                    schedule!(weights.len() * 4);
+                    (Weights::Owned(weights), pending_bytes)
+                };
+                cur_ord += 1;
+                let dense_bytes = weights.len() * 4;
+                stats.peak_dense_bytes = stats.peak_dense_bytes.max(dense_bytes + resident);
+                stats.total_dense_bytes += dense_bytes;
+                cur = forward_sharing_budget(!pending.is_empty(), compute_budget, || {
+                    dense_forward_with_weights(d, &weights, &cur)
+                });
+                // Park a spill-sourced buffer for the next forward pass
+                // instead of dropping it. Otherwise owned weights drop here,
+                // and shared ones stay resident while the cache holds them.
+                if let (Weights::Owned(spent), Some(spill)) = (weights, &self.spill) {
+                    spill.store(i, spent)?;
                 }
             }
             Ok((cur, stats))
@@ -738,19 +592,37 @@ impl CompressedFcModel {
     }
 }
 
-/// Runs one layer forward, pinned to `compute_budget` workers while a
-/// prefetch decode is in flight (the decode side holds the rest of the
+/// The executing fc layer's dense weights.
+enum Weights {
+    /// Decoded or rehydrated for this pass alone.
+    Owned(Vec<f32>),
+    /// The shared cache's copy, shared with every request holding it.
+    Shared(Arc<Vec<f32>>),
+}
+
+impl std::ops::Deref for Weights {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        match self {
+            Weights::Owned(w) => w,
+            Weights::Shared(w) => w,
+        }
+    }
+}
+
+/// Runs one layer's forward `f`, pinned to `compute_budget` workers while
+/// a prefetch decode is in flight (the decode side holds the rest of the
 /// budget) and at full width otherwise.
 fn forward_sharing_budget(
-    layer: &Layer,
-    cur: &Batch,
     decode_in_flight: bool,
     compute_budget: usize,
+    f: impl FnOnce() -> Batch,
 ) -> Batch {
     if decode_in_flight {
-        dsz_tensor::parallel::with_workers(compute_budget, || layer.forward(cur)).0
+        dsz_tensor::parallel::with_workers(compute_budget, f)
     } else {
-        layer.forward(cur).0
+        f()
     }
 }
 

@@ -26,7 +26,7 @@ use dsz_core::optimizer::{ChosenLayer, Plan};
 use dsz_core::{
     decode_model, encode_with_plan_config, encode_with_plan_v1, encode_with_plan_v2,
     verify_container, CompressedFcModel, CompressedModel, DataCodecKind, DecodePolicy, DeepSzError,
-    LayerAssessment,
+    LayerAssessment, SharedLayerCache,
 };
 use dsz_datagen::corrupt::Corruptor;
 use dsz_nn::FcLayerRef;
@@ -293,8 +293,9 @@ fn break_sz_streams(bytes: &mut [u8], from: usize) -> usize {
 }
 
 /// Streaming decode-failure policy: `FailFast` surfaces the first bad
-/// layer; `ReportBadLayers` enumerates every bad layer in one pass. The
-/// prefetch worker path must route errors back as `Err` too.
+/// layer; `ReportBadLayers` enumerates every bad layer in one pass.
+/// Every weight source (inline, the prefetch workers, the spill and shared
+/// caches) must route errors back as `Err` too.
 #[test]
 fn decode_policy_routes_streaming_errors() {
     // Build a network whose fc layers match the fixture exactly.
@@ -321,29 +322,44 @@ fn decode_policy_routes_streaming_errors() {
 
     let probe = dsz_nn::Batch::from_features(4, 32, vec![0.1; 4 * 32]);
 
-    for depth in [0usize, 1] {
-        let fail_fast = CompressedFcModel::new(&net, &v2)
-            .unwrap()
-            .with_prefetch_depth(depth);
+    // Every weight source: inline and prefetch decode, and a spill cache
+    // and a shared cache that hold nothing (quota 0), so each layer still
+    // decodes from the damaged container.
+    let spill_dir = std::env::temp_dir().join(format!("dsz-policy-spill-{}", std::process::id()));
+    let base = CompressedFcModel::new(&net, &v2).unwrap();
+    let sources = [
+        ("depth 0", base.clone().with_prefetch_depth(0)),
+        ("depth 1", base.clone().with_prefetch_depth(1)),
+        (
+            "spill quota 0",
+            base.clone().with_spill_dir(&spill_dir, 0).unwrap(),
+        ),
+        (
+            "shared quota 0",
+            base.clone()
+                .with_shared_cache(SharedLayerCache::new(0).handle()),
+        ),
+    ];
+    for (name, fail_fast) in &sources {
         let err = fail_fast.forward(&probe).unwrap_err();
         assert!(
             matches!(err, DeepSzError::Corrupt { .. }),
-            "depth {depth}: FailFast should surface the first Corrupt error, got: {err}"
+            "{name}: FailFast should surface the first Corrupt error, got: {err}"
         );
 
-        let report_all = CompressedFcModel::new(&net, &v2)
-            .unwrap()
-            .with_prefetch_depth(depth)
+        let report_all = fail_fast
+            .clone()
             .with_decode_policy(DecodePolicy::ReportBadLayers);
         let err = report_all.forward(&probe).unwrap_err();
         let DeepSzError::BadLayers(errs) = err else {
-            panic!("depth {depth}: expected BadLayers, got: {err}");
+            panic!("{name}: expected BadLayers, got: {err}");
         };
         assert_eq!(errs.len(), 2, "both damaged layers should be reported");
         assert!(errs
             .iter()
             .all(|e| matches!(e, DeepSzError::Corrupt { .. })));
     }
+    std::fs::remove_dir_all(&spill_dir).ok();
 
     // materialize() obeys the policy too.
     let err = CompressedFcModel::new(&net, &v2)

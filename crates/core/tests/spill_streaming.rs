@@ -13,7 +13,7 @@
 use dsz_core::optimizer::{ChosenLayer, Plan};
 use dsz_core::{
     encode_with_plan_config, CompressedFcModel, CompressedModel, DataCodecKind, DeepSzError,
-    LayerAssessment,
+    LayerAssessment, SharedLayerCache,
 };
 use dsz_nn::FcLayerRef;
 use dsz_sparse::PairArray;
@@ -177,6 +177,38 @@ fn repeat_forwards_rehydrate_instead_of_redecoding() {
     assert_eq!(stats.spills, 0, "unlimited quota must never spill");
     assert_eq!(stats.rehydrates, 0);
     assert_eq!(stats.live_hits, 2, "repeat pass must hit the live cache");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A shared-cache clone of a spilling model routes cold layers shared
+/// cache → spill cache → container decode (`docs/SERVING.md`, "Routing"):
+/// layers parked on disk by an earlier pass rehydrate instead of
+/// re-decoding, and the output bits do not change.
+#[test]
+fn shared_cache_rehydrates_cold_layers_from_attached_spill() {
+    let (net, model) = fixture();
+    let dir = test_dir("shared");
+    let spilling = CompressedFcModel::new(&net, &model)
+        .unwrap()
+        .with_spill_dir(&dir, 0)
+        .unwrap();
+    let (want, _) = spilling.forward(&probe()).unwrap();
+    let before = spilling.spill_stats().unwrap();
+    assert_eq!(before.spills, 2, "quota 0 must park both layers on disk");
+
+    let shared = spilling
+        .clone()
+        .with_shared_cache(SharedLayerCache::new(1 << 20).handle());
+    let (got, _) = shared.forward(&probe()).unwrap();
+    let after = shared.spill_stats().unwrap();
+    assert_eq!(
+        after.rehydrates,
+        before.rehydrates + 2,
+        "shared-cache misses must rehydrate both layers from disk"
+    );
+    assert_eq!(after.misses, before.misses, "no new container decodes");
+    let bits = |b: &dsz_nn::Batch| b.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got), bits(&want));
     std::fs::remove_dir_all(&dir).ok();
 }
 

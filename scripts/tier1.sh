@@ -20,7 +20,12 @@ cargo test -q -p dsz_core --test fault_injection
 # both worker budgets (the spill path must be byte-stable regardless of
 # DSZ_THREADS, and the thread_clamp suite pins the container bytes both
 # ways).
+# The streaming-forward suites ride the same sweep: at DSZ_THREADS=1 the
+# forward loop decodes every layer inline, at 4 it overlaps prefetch
+# decodes with the matmul.
 for t in 1 4; do
+  DSZ_THREADS=$t cargo test -q --test streaming_inference
+  DSZ_THREADS=$t cargo test -q -p dsz_core --test fault_injection
   DSZ_THREADS=$t cargo test -q -p dsz_core --test seekable
   DSZ_THREADS=$t cargo test -q -p dsz_core --test spill_streaming
   DSZ_THREADS=$t cargo test -q -p dsz_core --test thread_clamp

@@ -1,8 +1,12 @@
 //! Integration tests for memory-bounded streaming inference over a
 //! compressed model (the paper's §7 future-work direction).
 
-use deepsz::framework::streaming::{streaming_matches_eager, CompressedFcModel};
+use deepsz::framework::streaming::{streaming_matches_eager, CompressedFcModel, ForwardHook};
+use deepsz::framework::{DeepSzError, SharedLayerCache};
 use deepsz::prelude::*;
+use deepsz::tensor::parallel::with_workers;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 fn compressed_lenet() -> (Network, deepsz::framework::CompressedModel, Dataset) {
     let train_data = digits::dataset(1000, 71);
@@ -185,4 +189,81 @@ fn mismatched_skeleton_rejected() {
     let (_, model, _) = compressed_lenet();
     let other = zoo::build(Arch::LeNet5, Scale::Full, 9);
     assert!(CompressedFcModel::new(&other, &model).is_err());
+}
+
+/// Records the layer indices a forward pass probes, in order.
+#[derive(Debug, Default)]
+struct HookLog(Mutex<Vec<usize>>);
+
+impl ForwardHook for HookLog {
+    fn before_layer(&self, layer_index: usize) -> Result<(), DeepSzError> {
+        self.0.lock().unwrap().push(layer_index);
+        Ok(())
+    }
+}
+
+fn bits(b: &deepsz::nn::Batch) -> Vec<u32> {
+    b.data.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Every weight source runs the same per-layer prologue: the abort probe
+/// before each layer, then the hook once per fc layer in execution order.
+/// And every source reproduces the uncached serial output bit for bit,
+/// both on a cold pass and on one served from what the first pass parked.
+#[test]
+fn every_weight_source_probes_abort_and_hook_in_layer_order() {
+    let (net, model, test) = compressed_lenet();
+    let probe = test.batch(0, 16);
+    let fc: Vec<usize> = net.fc_layers().iter().map(|f| f.layer_index).collect();
+    let base = CompressedFcModel::new(&net, &model).unwrap();
+    let (want, _) = base.clone().with_prefetch(false).forward(&probe).unwrap();
+    let spill_dir = std::env::temp_dir().join(format!("dsz-stream-sources-{}", std::process::id()));
+    let sources = [
+        ("inline", base.clone().with_prefetch(false)),
+        ("prefetch depth 2", base.clone().with_prefetch_depth(2)),
+        (
+            "spill quota 0",
+            base.clone().with_spill_dir(&spill_dir, 0).unwrap(),
+        ),
+        (
+            "shared quota 0",
+            base.clone()
+                .with_shared_cache(SharedLayerCache::new(0).handle()),
+        ),
+        (
+            "shared ample quota",
+            base.clone()
+                .with_shared_cache(SharedLayerCache::new(1 << 30).handle()),
+        ),
+    ];
+    for (name, source) in &sources {
+        for pass in 0..2 {
+            let log = Arc::new(HookLog::default());
+            let hook: Arc<dyn ForwardHook> = log.clone();
+            let m = source.clone().with_forward_hook(Some(hook));
+            let (out, _) = with_workers(4, || m.forward(&probe)).unwrap();
+            assert_eq!(bits(&out), bits(&want), "{name} pass {pass}: output bits");
+            assert_eq!(*log.0.lock().unwrap(), fc, "{name} pass {pass}: hook");
+        }
+        for (k, &stop) in fc.iter().enumerate() {
+            let log = Arc::new(HookLog::default());
+            let hook: Arc<dyn ForwardHook> = log.clone();
+            let m = source.clone().with_forward_hook(Some(hook));
+            // The probe runs once per skeleton layer, so its call count is
+            // the index of the layer about to execute.
+            let calls = AtomicUsize::new(0);
+            let abort = || calls.fetch_add(1, Ordering::Relaxed) == stop;
+            let err = with_workers(4, || m.forward_cancellable(&probe, &abort)).unwrap_err();
+            assert!(
+                matches!(err, DeepSzError::Cancelled),
+                "{name}: abort before layer {stop} gave {err}"
+            );
+            assert_eq!(
+                *log.0.lock().unwrap(),
+                fc[..k],
+                "{name}: hook calls before the abort at layer {stop}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&spill_dir).ok();
 }
