@@ -16,7 +16,7 @@ use dsz_core::{
     assess_network, assess_network_full, decode_model, encode_to_writer, encode_to_writer_config,
     encode_with_plan, encode_with_plan_config, encode_with_plan_v2, verify_container,
     AssessmentConfig, DataCodecKind, DatasetEvaluator, EncodeStreamConfig, LayerAssessment,
-    SeekableContainer, SharedLayerCache, SpillCache,
+    SeekableContainer, SharedLayerCache,
 };
 use dsz_datagen::features;
 use dsz_nn::{zoo, Arch, DenseLayer, Layer, Network, Scale};
@@ -302,25 +302,29 @@ fn main() {
     let random_access_layer_ms = median_ms(5, || {
         let _ = seek.layer(mid).expect("random access layer");
     });
-    // Spill rehydration: quota 0 parks the decoded payload on disk, so
-    // every fetch is a read + FNV verify + f32 reassembly — the cost a
-    // repeat forward pays instead of a container re-decode.
+    // Spill rehydration: a quota-0 cache with a disk tier parks the
+    // decoded payload on disk alone, so every later lookup is a read +
+    // FNV verify + f32 reassembly — the cost a repeat forward pays
+    // instead of a container re-decode.
     let spill_payload = seek.layer(mid).expect("mid layer").dense;
     let spill_dir = std::env::temp_dir().join(format!("dsz-bench-spill-{}", std::process::id()));
-    let spill = SpillCache::new(&spill_dir, 0).expect("spill cache");
-    let mut spill_times: Vec<f64> = (0..9)
-        .map(|_| {
-            spill
-                .store(mid, spill_payload.clone())
-                .expect("spill store");
-            let t0 = Instant::now();
-            let got = spill.fetch(mid).expect("spill fetch").expect("parked");
-            assert_eq!(got.len(), spill_payload.len());
-            t0.elapsed().as_secs_f64() * 1e3
+    let spill_cache = SharedLayerCache::with_spill_dir(0, &spill_dir).expect("spill cache");
+    let spill = spill_cache.handle();
+    let rehydrate = || {
+        spill.get_or_decode(mid, 0, || {
+            Ok::<_, dsz_core::DeepSzError>(spill_payload.clone())
         })
-        .collect();
-    spill_times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let spill_rehydrate_ms = spill_times[spill_times.len() / 2];
+    };
+    rehydrate().expect("spill park");
+    let spill_rehydrate_ms = median_ms(9, || {
+        let got = rehydrate().expect("spill rehydrate");
+        assert_eq!(got.len(), spill_payload.len());
+    });
+    assert_eq!(
+        spill_cache.stats().misses,
+        1,
+        "every timed lookup must rehydrate"
+    );
     std::fs::remove_dir_all(&spill_dir).ok();
     // Shared decoded-layer cache (the serving layer's hot-path allocation,
     // `docs/SERVING.md`): park the whole stack once, then a hot pass per

@@ -29,7 +29,8 @@
 //!    Decoding reverses the three stages with per-stage timing
 //!    (Fig. 7b); [`seek::SeekableContainer`] random-accesses single
 //!    layers, and [`streaming::CompressedFcModel`] can spill decoded
-//!    layers to disk under a memory quota ([`spill`]).
+//!    layers to disk under a memory quota (the disk tier of
+//!    [`layer_cache::SharedLayerCache`]).
 
 pub mod assessment;
 pub mod codec;
@@ -40,7 +41,6 @@ pub mod linearity;
 pub mod optimizer;
 pub mod pipeline;
 pub mod seek;
-pub mod spill;
 pub mod streaming;
 
 pub use assessment::{
@@ -58,7 +58,6 @@ pub use pipeline::{
     CompressedModel, DecodeTiming, DecodedLayer, EncodeReport,
 };
 pub use seek::{ByteSource, FileSource, SeekableContainer};
-pub use spill::{SpillCache, SpillStats};
 pub use streaming::{CompressedFcModel, DecodePolicy, ForwardHook, StreamingStats};
 
 use std::fmt;
@@ -83,8 +82,8 @@ pub enum DeepSzError {
         layer: String,
         /// Decode stage that rejected it: `"validate"`, `"checksum"`,
         /// `"cross-check"`, `"lossless-index"`, `"lossy-data"`,
-        /// `"reconstruct"`, or `"spill"` (a damaged on-disk spill file,
-        /// [`spill::SpillCache`]).
+        /// `"reconstruct"`, or `"spill"` (a damaged on-disk spill file
+        /// in the disk tier of [`layer_cache::SharedLayerCache`]).
         stage: &'static str,
         /// Underlying cause.
         detail: String,
@@ -144,9 +143,10 @@ impl DeepSzError {
     ///
     /// Transient today:
     /// * [`DeepSzError::Corrupt`] at stage `"spill"` — a damaged on-disk
-    ///   spill file. [`spill::SpillCache::fetch`] deletes the poisoned
-    ///   file on the way out, so the retry decodes from the (verified)
-    ///   container instead of re-reading the bad file.
+    ///   spill file. The [`layer_cache::SharedLayerCache`] lookup that
+    ///   rejects it deletes the file and forgets it on the way out, so
+    ///   the retry decodes from the (verified) container instead of
+    ///   re-reading the bad file.
     /// * [`DeepSzError::Cancelled`] — a cooperative abort, not a fault;
     ///   a live request caught in a batch whose *other* members all hung
     ///   up may legitimately re-run.

@@ -32,7 +32,9 @@
 //! ([`dsz_tensor::pool::scope`]); joining a task that no pool worker picked
 //! up steals it inline, so prefetch degrades gracefully to serial order on
 //! busy or single-core hosts. [`CompressedFcModel::with_prefetch`] with
-//! `false` is shorthand for depth 0. An attached spill or shared cache
+//! `false` is shorthand for depth 0. An attached decoded-layer cache
+//! ([`CompressedFcModel::with_shared_cache`], or
+//! [`CompressedFcModel::with_spill_dir`] for one with a disk tier)
 //! replaces prefetch as the weight source, so both knobs are ignored then.
 
 // Streaming decodes untrusted container blobs on pool workers: malformed
@@ -40,11 +42,10 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::codec::DataCodecKind;
-use crate::layer_cache::CacheHandle;
+use crate::layer_cache::{CacheHandle, SharedLayerCache};
 use crate::pipeline::{
     decode_model, decode_record, parse_records, CompressedModel, DecodedLayer, RawLayerRecord,
 };
-use crate::spill::{SpillCache, SpillStats};
 use crate::DeepSzError;
 use dsz_lossless::{Fnv1a, LosslessKind};
 use dsz_nn::{dense_forward_with_weights, Batch, Layer, Network};
@@ -68,12 +69,12 @@ fn check_abort(abort: Option<AbortFlag<'_>>) -> Result<(), DeepSzError> {
 /// Test/harness instrumentation point on the forward path: probed once
 /// per fc layer, in execution order, right before that layer's weights
 /// are resolved, whichever source supplies them (inline decode, prefetch
-/// queue, spill cache or shared cache). An `Err` aborts the pass with
-/// that error, exactly as a real decode failure at that layer would —
-/// which is the point: a seeded fault plan (`dsz_serve::chaos`)
-/// implements this trait to inject decode errors, slow layers, and
-/// mid-batch cancellations deterministically, without touching container
-/// bytes. Production models simply leave the hook unset
+/// queue, or the decoded-layer cache and its disk tier). An `Err` aborts
+/// the pass with that error, exactly as a real decode failure at that
+/// layer would — which is the point: a seeded fault plan
+/// (`dsz_serve::chaos`) implements this trait to inject decode errors,
+/// slow layers, and mid-batch cancellations deterministically, without
+/// touching container bytes. Production models simply leave the hook unset
 /// ([`CompressedFcModel::with_forward_hook`]); the happy path pays one
 /// `Option` check per layer.
 pub trait ForwardHook: std::fmt::Debug + Send + Sync {
@@ -159,12 +160,9 @@ pub struct CompressedFcModel {
     decoded_bytes_budget: Option<usize>,
     /// What to do when a layer fails to decode.
     decode_policy: DecodePolicy,
-    /// Disk-backed cache for decoded layers ([`Self::with_spill_dir`]);
-    /// shared across clones so forwards reuse each other's spills.
-    spill: Option<Arc<SpillCache>>,
-    /// Handle into the process-wide decoded-layer cache
-    /// ([`Self::with_shared_cache`]); when set, forwards take weights
-    /// from it and hot layers decode once across all tenants.
+    /// Handle into a decoded-layer cache ([`Self::with_shared_cache`],
+    /// [`Self::with_spill_dir`]); when set, forwards take weights from it
+    /// and hot layers decode once across all tenants and clones.
     shared: Option<CacheHandle>,
     /// Test/harness fault-injection hook, probed once per fc layer
     /// ([`Self::with_forward_hook`]).
@@ -176,7 +174,8 @@ pub struct CompressedFcModel {
 pub struct StreamingStats {
     /// Peak bytes of dense fc weights resident at any instant: the
     /// executing layer plus every in-flight prefetch decode, or, with a
-    /// spill or shared cache attached, plus that cache's live bytes.
+    /// cache attached, that cache's live bytes plus the executing layer
+    /// when the cache did not park it.
     pub peak_dense_bytes: usize,
     /// Sum of dense fc weights (what eager decoding would hold).
     pub total_dense_bytes: usize,
@@ -239,7 +238,6 @@ impl CompressedFcModel {
             prefetch_depth: 1,
             decoded_bytes_budget: None,
             decode_policy: DecodePolicy::default(),
-            spill: None,
             shared: None,
             hook: None,
         })
@@ -255,8 +253,9 @@ impl CompressedFcModel {
     /// decoding/decoded concurrently. Depth 0 decodes inline (strict
     /// `max(layer)` dense peak); depth `d ≥ 1` holds at most the executing
     /// layer plus `d` prefetches, subject to the decoded-bytes budget.
-    /// Ignored when a spill or shared cache is attached, and on a 1-worker
-    /// budget: those passes decode inline.
+    /// Ignored when a cache is attached ([`Self::with_shared_cache`],
+    /// [`Self::with_spill_dir`]), and on a 1-worker budget: those passes
+    /// decode inline.
     pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
         self.prefetch_depth = depth;
         self
@@ -265,8 +264,8 @@ impl CompressedFcModel {
     /// Caps the dense bytes live at once (executing layer + in-flight
     /// prefetches). `None` removes the cap. Prefetches that would exceed
     /// the cap wait; execution itself is never blocked. Ignored when a
-    /// spill or shared cache is attached: that cache's quota bounds live
-    /// bytes instead.
+    /// cache is attached ([`Self::with_shared_cache`],
+    /// [`Self::with_spill_dir`]): its quota bounds live bytes instead.
     pub fn with_decoded_bytes_budget(mut self, bytes: Option<usize>) -> Self {
         self.decoded_bytes_budget = bytes;
         self
@@ -278,27 +277,24 @@ impl CompressedFcModel {
         self
     }
 
-    /// Attaches a disk spill cache: decoded layers are parked in memory up
-    /// to `bytes_quota` bytes, evicted layers are written FNV-stamped into
-    /// `dir` and re-loaded instead of re-decoded on the next use
-    /// ([`crate::spill`]). Forward passes take weights from this cache
-    /// instead of the prefetch queue — the cache itself bounds live dense
-    /// bytes at `quota + executing layer`, which is the point — and stay
+    /// Attaches a fresh [`SharedLayerCache`] with a disk tier
+    /// ([`SharedLayerCache::with_spill_dir`]): decoded layers are parked
+    /// in memory up to `bytes_quota` bytes, evicted layers are written
+    /// FNV-stamped into `dir` and re-loaded instead of re-decoded on the
+    /// next use. Forward passes take weights from this cache instead of
+    /// the prefetch queue — the cache itself bounds live dense bytes at
+    /// `quota + executing layer`, which is the point — and stay
     /// bit-identical to the in-RAM path (spill files round-trip exact f32
     /// bits). Typically paired with a quota sized to the hot layers of a
-    /// model larger than RAM.
+    /// model larger than RAM. Its counters are
+    /// `shared_cache().unwrap().cache().stats()`.
     pub fn with_spill_dir(
-        mut self,
+        self,
         dir: impl AsRef<Path>,
         bytes_quota: usize,
     ) -> Result<Self, DeepSzError> {
-        self.spill = Some(Arc::new(SpillCache::new(dir, bytes_quota)?));
-        Ok(self)
-    }
-
-    /// Activity counters of the attached spill cache, if any.
-    pub fn spill_stats(&self) -> Option<SpillStats> {
-        self.spill.as_deref().map(SpillCache::stats)
+        let cache = SharedLayerCache::with_spill_dir(bytes_quota, dir.as_ref())?;
+        Ok(self.with_shared_cache(cache.handle()))
     }
 
     /// Attaches a handle into a process-wide
@@ -307,8 +303,8 @@ impl CompressedFcModel {
     /// each fc layer's decoded weights are looked up under
     /// `(model, layer, record_fnv)` — hot layers decode **once across
     /// every model and request** sharing the cache, cold layers fall back
-    /// to the spill cache (when attached) and then to a container decode.
-    /// Results are bit-identical to the
+    /// to the cache's disk tier (when it has one) and then to a container
+    /// decode. Results are bit-identical to the
     /// uncached serial path at every quota, including 0 (the cache hands
     /// back the same decoded bits or nothing). This is the constructor
     /// the serving layer (`dsz_serve`) uses; `docs/SERVING.md` has the
@@ -394,14 +390,10 @@ impl CompressedFcModel {
     /// The one forward loop. Each fc layer's dense weights come from the
     /// source chosen for the whole pass:
     ///
-    /// * **shared cache** (when attached): an `Arc` clone of the resident
-    ///   copy, else a spill rehydrate (when a spill cache is attached too),
-    ///   else a container decode, parked for the next tenant when the quota
-    ///   permits;
-    /// * **spill cache** (when attached): room is reserved first, then the
-    ///   parked buffer is fetched (from memory or a verified spill file) or
-    ///   the layer decodes, and after the matmul the buffer is parked back,
-    ///   evicting older layers to disk as the quota demands;
+    /// * **cache** (when attached): an `Arc` clone of the resident copy,
+    ///   else a verified rehydrate from the cache's disk tier (when it has
+    ///   one), else a container decode, parked for the next pass or tenant
+    ///   when the quota permits;
     /// * **prefetch queue** otherwise: while layer *k*'s matmul runs, pool
     ///   tasks decode up to `prefetch_depth` upcoming layers within the
     ///   decoded-bytes budget, and a layer nobody prefetched decodes inline.
@@ -442,7 +434,7 @@ impl CompressedFcModel {
         // unset on a pool worker. With no second thread to overlap with,
         // honoring a 1-thread pin means running no concurrent decode.
         let budget = dsz_tensor::parallel::worker_count();
-        let depth = if self.shared.is_some() || self.spill.is_some() || budget < 2 {
+        let depth = if self.shared.is_some() || budget < 2 {
             0
         } else {
             self.prefetch_depth
@@ -516,26 +508,12 @@ impl CompressedFcModel {
                 };
                 // `resident`: dense bytes held beside the executing layer.
                 let (weights, resident) = if let Some(handle) = &self.shared {
-                    let weights = handle.get_or_decode(i, c.record_fnv, || {
-                        // Cold layer: prefer a (cheap) spill rehydrate over
-                        // a container re-decode.
-                        if let Some(spill) = &self.spill {
-                            if let Some(parked) = spill.fetch(i)? {
-                                return Ok(parked);
-                            }
-                        }
-                        decode()
-                    })?;
-                    (Weights::Shared(weights), handle.cache().live_bytes())
-                } else if let Some(spill) = &self.spill {
-                    // Make room for this layer before it materializes, so
-                    // cached + executing never exceeds quota + one layer.
-                    spill.reserve(c.dense_bytes())?;
-                    let weights = match spill.fetch(i)? {
-                        Some(parked) => parked,
-                        None => decode()?,
-                    };
-                    (Weights::Owned(weights), spill.live_bytes())
+                    let (weights, parked) = handle.lookup_or_decode(i, c.record_fnv, decode)?;
+                    // A parked layer is already part of the cache's live
+                    // bytes.
+                    let own = if parked { weights.len() * 4 } else { 0 };
+                    let beside = handle.cache().live_bytes().saturating_sub(own);
+                    (Weights::Shared(weights), beside)
                 } else {
                     let weights = match pending.pop_front_if(|p| p.0 == cur_ord) {
                         Some((_, handle, bytes)) => {
@@ -564,12 +542,6 @@ impl CompressedFcModel {
                 cur = forward_sharing_budget(!pending.is_empty(), compute_budget, || {
                     dense_forward_with_weights(d, &weights, &cur)
                 });
-                // Park a spill-sourced buffer for the next forward pass
-                // instead of dropping it. Otherwise owned weights drop here,
-                // and shared ones stay resident while the cache holds them.
-                if let (Weights::Owned(spent), Some(spill)) = (weights, &self.spill) {
-                    spill.store(i, spent)?;
-                }
             }
             Ok((cur, stats))
         })
@@ -594,9 +566,9 @@ impl CompressedFcModel {
 
 /// The executing fc layer's dense weights.
 enum Weights {
-    /// Decoded or rehydrated for this pass alone.
+    /// Decoded for this pass alone.
     Owned(Vec<f32>),
-    /// The shared cache's copy, shared with every request holding it.
+    /// The cache's copy, shared with every request holding it.
     Shared(Arc<Vec<f32>>),
 }
 

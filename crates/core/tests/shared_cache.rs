@@ -15,6 +15,9 @@
 //!   including under seeded multi-thread cross-model stress.
 //! * **Evict-then-refetch** — layers evicted under quota pressure and
 //!   later refetched decode bit-identical to the first decode.
+//! * **Peak accounting** — a forward's `peak_dense_bytes` counts the
+//!   executing layer once: inside the cache's live bytes when parked,
+//!   beside them when not.
 
 use dsz_core::optimizer::{ChosenLayer, Plan};
 use dsz_core::{
@@ -129,6 +132,13 @@ fn shared_cache_forward_bit_identical_at_every_quota() {
                 "quota {quota} pass {pass} diverged from the uncached serial path"
             );
             assert!(stats.peak_dense_bytes >= 3072, "executing layer counted");
+            // Both layers resident (4608 B), or with a zero quota only the
+            // larger executing one (3072 B): never the same layer twice.
+            match quota {
+                0 => assert_eq!(stats.peak_dense_bytes, 3072, "pass {pass}"),
+                q if q == 1 << 20 => assert_eq!(stats.peak_dense_bytes, 4608, "pass {pass}"),
+                _ => {}
+            }
         }
         let s = cache.stats();
         assert!(
@@ -193,17 +203,27 @@ fn cancelled_forward_stops_with_cancelled_error() {
 }
 
 /// Seeded multi-thread cross-model stress: 4 threads hammer two models
-/// through one tightly-quota'd cache. The ledger must never exceed the
-/// quota (checked live from a racing observer thread *and* via the
-/// high-water mark afterwards), and every forward must stay bit-identical
-/// to its model's uncached reference.
+/// through one tightly-quota'd cache, without and then with a disk tier.
+/// The ledger must never exceed the quota (checked live from a racing
+/// observer thread *and* via the high-water mark afterwards), and every
+/// forward must stay bit-identical to its model's uncached reference.
+/// With the disk tier, evictions write spill files outside the map lock
+/// while other threads look the same layers up and rehydrate them.
 #[test]
 fn concurrent_cross_model_stress_respects_quota_and_bits() {
-    let (net_a, model_a) = fixture(0x59A);
-    let (net_b, model_b) = fixture(0xB0B);
     // Quota just over one large layer: continuous cross-model eviction.
     let quota = 4000usize;
-    let cache = SharedLayerCache::new(quota);
+    stress(SharedLayerCache::new(quota), quota);
+    let dir = std::env::temp_dir().join(format!("dsz-shared-stress-{}", std::process::id()));
+    let spilling = SharedLayerCache::with_spill_dir(quota, &dir).unwrap();
+    stress(Arc::clone(&spilling), quota);
+    assert!(spilling.stats().rehydrates > 0, "evicted layers rehydrate");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn stress(cache: Arc<SharedLayerCache>, quota: usize) {
+    let (net_a, model_a) = fixture(0x59A);
+    let (net_b, model_b) = fixture(0xB0B);
     let shared_a = Arc::new(
         CompressedFcModel::new(&net_a, &model_a)
             .unwrap()
@@ -285,7 +305,10 @@ fn concurrent_cross_model_stress_respects_quota_and_bits() {
         s.high_water
     );
     assert!(s.live_bytes <= quota);
-    assert!(s.hits + s.misses >= 4 * 24 * 2, "every layer was looked up");
+    assert!(
+        s.hits + s.rehydrates + s.misses >= 4 * 24 * 2,
+        "every layer was looked up"
+    );
     // Purging one model leaves the other's entries intact and the ledger
     // consistent.
     shared_a.shared_cache().unwrap().purge();

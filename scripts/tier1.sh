@@ -16,10 +16,10 @@ DSZ_THREADS=4 cargo test -q
 # here is unmistakable in the log.
 cargo test -q -p dsz_core --test fault_injection
 # Random-access + spill gate: the seekable reader's lazy-verify agreement
-# campaign and the disk-spill bit-identity/poisoned-file suites, under
-# both worker budgets (the spill path must be byte-stable regardless of
-# DSZ_THREADS, and the thread_clamp suite pins the container bytes both
-# ways).
+# campaign and the decoded-layer cache's disk-tier bit-identity /
+# poisoned-file suites, under both worker budgets (the spill path must be
+# byte-stable regardless of DSZ_THREADS, and the thread_clamp suite pins
+# the container bytes both ways).
 # The streaming-forward suites ride the same sweep: at DSZ_THREADS=1 the
 # forward loop decodes every layer inline, at 4 it overlaps prefetch
 # decodes with the matmul.
